@@ -11,10 +11,11 @@
 //! exits non-zero. Replay a failure with the same binary:
 //! `explore <failing-seed> 1`.
 //!
-//! `--sharded` (optionally `--sharded=N` for N partitions, default 8) runs
-//! the sweep against [`metadata::ShardedStore`] instead of the global-mutex
-//! store; fingerprints are identical either way, so a divergence is a
-//! sharding bug. `--durable[=N]` does the same against the WAL-backed
+//! With no store flag the sweep commits against a 1-shard
+//! [`metadata::ShardedStore`], the single-lock configuration. `--sharded`
+//! (optionally `--sharded=N` for N partitions, default 8) runs it against
+//! more partitions; fingerprints are identical either way, so a divergence
+//! is a sharding bug. `--durable[=N]` does the same against the WAL-backed
 //! sharded store ([`metadata::ShardedStore::open_durable`]) in a per-run
 //! scratch directory — same fingerprints again, now with every commit
 //! journaled. `--kill-restart` switches to the kill-restart sweep
@@ -25,7 +26,7 @@
 use faultsim::{explore, explore_kills, KillConfig, SimConfig, StoreSelection};
 
 fn main() {
-    let mut store = StoreSelection::Global;
+    let mut store = StoreSelection::Sharded(1);
     let mut kill_restart = false;
     let mut positional: Vec<String> = Vec::new();
     for arg in std::env::args().skip(1) {

@@ -12,7 +12,7 @@
 //! notification to a reader). The components are the real ones — the real
 //! [`mqsim::MessageBroker`] with a [`FaultPlan`] installed, the real
 //! [`stacksync::SyncService`] dispatch path, the real
-//! [`metadata::InMemoryStore`] — so the invariants checked are properties
+//! [`metadata::ShardedStore`] — so the invariants checked are properties
 //! of production code, not of a model. Same seed ⇒ same schedule, same
 //! history, same verdict, every time, in milliseconds.
 //!
@@ -27,7 +27,7 @@ use crate::history::{Event, History, SubmitFate};
 use crate::plan::{FaultPlan, FaultRates};
 use crate::rng::SimRng;
 use content::ChunkId;
-use metadata::{InMemoryStore, ItemMetadata, MetadataStore, ShardedStore};
+use metadata::{ItemMetadata, MetadataStore, ShardedStore};
 use objectmq::{Broker, BrokerConfig, RemoteObject, Request};
 use stacksync::{provision_user, workspace_notification_oid, SyncService};
 use std::collections::BTreeMap;
@@ -53,9 +53,8 @@ const OWN_ITEM_BASE: u64 = 100;
 /// service, and fault schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StoreSelection {
-    /// The global-mutex [`InMemoryStore`].
-    Global,
-    /// A [`ShardedStore`] with the given shard count.
+    /// A [`ShardedStore`] with the given shard count; `Sharded(1)` is the
+    /// single-lock store every transaction serializes on.
     Sharded(usize),
     /// A WAL-backed [`ShardedStore`] ([`ShardedStore::open_durable`]) with
     /// the given shard count, rooted in a per-run scratch directory that is
@@ -68,7 +67,6 @@ pub enum StoreSelection {
 impl StoreSelection {
     fn build(self, seed: u64) -> (Arc<dyn MetadataStore>, Option<std::path::PathBuf>) {
         match self {
-            StoreSelection::Global => (Arc::new(InMemoryStore::new()), None),
             StoreSelection::Sharded(n) => (Arc::new(ShardedStore::with_shards(n)), None),
             StoreSelection::Durable(n) => {
                 static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
@@ -117,7 +115,7 @@ impl Default for SimConfig {
             rates: FaultRates::chaotic(),
             crash_permille: 150,
             max_steps: 100_000,
-            store: StoreSelection::Global,
+            store: StoreSelection::Sharded(1),
         }
     }
 }
@@ -601,10 +599,12 @@ mod tests {
     fn store_selection_does_not_change_the_run() {
         // The store consumes no scheduler randomness, so for any seed the
         // fingerprint (fault schedule + full client-visible history) must
-        // be identical whichever back-end commits the metadata — including
-        // the WAL-backed one, whose scratch path derives from the seed.
+        // be identical whichever back-end commits the metadata — one shard,
+        // eight, or the WAL-backed store, whose scratch path derives from
+        // the seed.
+        assert_eq!(SimConfig::default().store, StoreSelection::Sharded(1));
         for seed in [1, 7, 23] {
-            let global = run(seed, &SimConfig::default());
+            let single = run(seed, &SimConfig::default());
             for store in [StoreSelection::Sharded(8), StoreSelection::Durable(8)] {
                 let other = run(
                     seed,
@@ -613,12 +613,12 @@ mod tests {
                         ..SimConfig::default()
                     },
                 );
-                assert!(global.passed(), "{}", global.transcript());
+                assert!(single.passed(), "{}", single.transcript());
                 assert!(other.passed(), "{}", other.transcript());
                 assert_eq!(
-                    global.fingerprint(),
+                    single.fingerprint(),
                     other.fingerprint(),
-                    "seed {seed}: {store:?} run diverged from global run"
+                    "seed {seed}: {store:?} run diverged from the 1-shard run"
                 );
             }
         }

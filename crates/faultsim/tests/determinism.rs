@@ -84,8 +84,8 @@ fn fault_space_is_covered() {
 }
 
 /// The CI gate for the partitioned metadata tier: the same fixed seed
-/// block holds every invariant when the stack commits against
-/// [`metadata::ShardedStore`] instead of the global-mutex store.
+/// block holds every invariant when the stack commits against an 8-shard
+/// [`metadata::ShardedStore`] instead of the default single-lock one.
 #[test]
 fn fifty_plus_seeds_hold_all_invariants_sharded() {
     let config = SimConfig {
@@ -101,7 +101,8 @@ fn fifty_plus_seeds_hold_all_invariants_sharded() {
 
 /// The sharding identity plan, end to end: the store consumes no scheduler
 /// randomness, so a seed's fingerprint — fault schedule plus every
-/// client-visible event — is the same whichever back-end commits.
+/// client-visible event — is the same whichever back-end commits: the
+/// default single-lock (1-shard) store, here called global, or 8 shards.
 #[test]
 fn sharded_and_global_runs_are_indistinguishable() {
     let sharded_config = SimConfig {

@@ -511,23 +511,30 @@ impl ShardedStore {
         self.wal.is_some()
     }
 
-    /// Serializes the full store state into the wire data model — the same
-    /// `stacksync-metadata-v1` format as [`crate::InMemoryStore::snapshot`].
+    /// Serializes the full store state into the wire data model — the
+    /// `stacksync-metadata-v1` format [`ShardedStore::checkpoint`] writes.
     pub fn snapshot(&self) -> Value {
-        parts_to_value(&self.dump_parts())
+        parts_to_value(&self.dump_parts(|_| {}))
     }
 
-    fn dump_parts(&self) -> StoreParts {
+    /// Copies the full state out, one lock at a time: the directory, then
+    /// each partition. `under_lock` runs while each lock is held (`None`
+    /// for the directory, `Some(i)` for partition `i`), so a checkpoint can
+    /// capture each log's watermark consistently with its state.
+    fn dump_parts(&self, mut under_lock: impl FnMut(Option<usize>)) -> StoreParts {
         let (users, workspaces) = {
             let dir = self.directory.lock();
+            under_lock(None);
             (
                 dir.users.iter().cloned().collect(),
                 dir.workspaces.values().cloned().collect(),
             )
         };
         let mut histories: Vec<Vec<ItemMetadata>> = Vec::new();
-        for shard in &self.shards {
-            histories.extend(shard.tables.lock().items.values().cloned());
+        for (i, shard) in self.shards.iter().enumerate() {
+            let tables = shard.tables.lock();
+            under_lock(Some(i));
+            histories.extend(tables.items.values().cloned());
         }
         histories.sort_by_key(|v| v[0].item_id);
         StoreParts {
@@ -552,27 +559,12 @@ impl ShardedStore {
                 "checkpoint requires a store opened with open_durable",
             )
         })?;
-        let (users, workspaces, dir_mark) = {
-            let dir = self.directory.lock();
-            (
-                dir.users.iter().cloned().collect(),
-                dir.workspaces.values().cloned().collect(),
-                plane.dir_log.mark(),
-            )
-        };
-        let mut histories: Vec<Vec<ItemMetadata>> = Vec::new();
+        let mut dir_mark = 0;
         let mut marks = Vec::with_capacity(self.shards.len());
-        for (i, shard) in self.shards.iter().enumerate() {
-            let t = shard.tables.lock();
-            histories.extend(t.items.values().cloned());
-            marks.push(plane.shard_logs[i].mark());
-        }
-        histories.sort_by_key(|v| v[0].item_id);
-        let parts = StoreParts {
-            users,
-            workspaces,
-            histories,
-        };
+        let parts = self.dump_parts(|log| match log {
+            None => dir_mark = plane.dir_log.mark(),
+            Some(i) => marks.push(plane.shard_logs[i].mark()),
+        });
         write_atomic(
             &plane.root.join("snapshot.json"),
             &JsonCodec.encode(&parts_to_value(&parts)),

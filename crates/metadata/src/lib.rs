@@ -10,23 +10,24 @@
 //! This crate reproduces that tier as a serializable in-memory store:
 //!
 //! * [`MetadataStore`] is the DAO trait (the paper's extension hook);
-//! * [`InMemoryStore`] implements it with one big serialization lock —
-//!   every commit is atomic and totally ordered, which is exactly the
-//!   property Algorithm 1 relies on to declare winners;
-//! * [`ShardedStore`] implements the same DAO over N per-workspace
-//!   partitions routed by `hash(workspace_id)`, so commits to different
-//!   workspaces proceed in parallel while each workspace keeps the same
-//!   totally-ordered transaction semantics (Algorithm 1 never crosses
-//!   workspaces);
+//! * [`ShardedStore`] implements it over N per-workspace partitions routed
+//!   by `hash(workspace_id)`. Each partition serializes its transactions
+//!   under one lock, so every commit to a workspace is atomic and totally
+//!   ordered — exactly the property Algorithm 1 relies on to declare
+//!   winners — while commits to workspaces on different partitions proceed
+//!   in parallel (Algorithm 1 never crosses workspaces).
+//!   `ShardedStore::with_shards(1)` is the single-lock configuration;
+//! * [`ShardedStore::open_durable`] adds a per-partition write-ahead log
+//!   and [`ShardedStore::checkpoint`] a snapshot, the one persistence path;
 //! * [`ItemMetadata`]/[`CommitOutcome`] model versioned items and the
 //!   commit results piggybacked in `CommitNotification`s.
 //!
 //! ## Example
 //!
 //! ```
-//! use metadata::{InMemoryStore, MetadataStore, ItemMetadata, CommitResult};
+//! use metadata::{CommitResult, ItemMetadata, MetadataStore, ShardedStore};
 //!
-//! let store = InMemoryStore::new();
+//! let store = ShardedStore::new();
 //! store.create_user("alice").unwrap();
 //! let ws = store.create_workspace("alice", "Documents").unwrap();
 //! let item = ItemMetadata::new_file(1, &ws, "report.txt", vec![], 0, "device-1");
@@ -48,4 +49,4 @@ pub use durable::DurableRecovery;
 pub use error::{MetadataError, MetadataResult};
 pub use model::{CommitOutcome, CommitResult, ItemMetadata, Workspace, WorkspaceId};
 pub use shard::ShardedStore;
-pub use store::{InMemoryStore, MetadataStore};
+pub use store::MetadataStore;

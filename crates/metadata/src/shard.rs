@@ -1,5 +1,5 @@
-//! The partitioned metadata store: per-workspace shards end the
-//! global-mutex commit path.
+//! The metadata store: per-workspace partitions, so commits to different
+//! workspaces do not serialize behind one lock.
 //!
 //! Algorithm 1 commits never cross workspaces — a commit transaction reads
 //! and writes only the version chains of one workspace — so `workspace_id`
@@ -97,17 +97,19 @@ impl std::fmt::Debug for Shard {
 }
 
 /// Partitioned metadata store: N independent per-workspace partitions
-/// behind the same [`MetadataStore`] DAO as [`crate::InMemoryStore`].
+/// behind the [`MetadataStore`] DAO.
 ///
-/// For any per-workspace history the outcomes are identical to the
-/// global-mutex store (the per-item transaction body is literally the same
-/// code); what changes is that transactions on different workspaces no
-/// longer serialize against each other.
+/// For any per-workspace history the outcomes do not depend on the
+/// partition count: one partition serializes every transaction behind a
+/// single lock, and more partitions only let transactions on different
+/// workspaces overlap in time.
 ///
-/// Like [`crate::InMemoryStore`], an optional commit latency models the
-/// transaction time of the ACID back-end, held under the *partition* lock
-/// — so it serializes commits within a workspace's shard but overlaps
-/// across shards.
+/// An optional commit latency models the transaction time of the ACID
+/// back-end this store stands in for (the paper's PostgreSQL). It is spent
+/// **while holding the partition lock**, exactly as a relational back-end
+/// holds its row locks across the transaction round trip — so it
+/// serializes commits within a workspace's shard but overlaps across
+/// shards.
 #[derive(Debug)]
 pub struct ShardedStore {
     pub(crate) directory: Mutex<Directory>,
@@ -133,9 +135,9 @@ impl Default for ShardedStore {
 }
 
 impl ShardedStore {
-    /// Creates a store with one partition per available CPU (at least 2 —
-    /// a single partition would just be [`crate::InMemoryStore`] with
-    /// extra steps).
+    /// Creates a store with one partition per available CPU (at least 2, so
+    /// commits to different workspaces can overlap even on one core; use
+    /// [`ShardedStore::with_shards`]`(1)` for a single serialization lock).
     pub fn new() -> Self {
         let cpus = std::thread::available_parallelism()
             .map(|n| n.get())

@@ -1,14 +1,13 @@
-//! Snapshot/restore of the metadata store: the persistence story for the
-//! metadata tier (the paper's PostgreSQL keeps this durable; the in-memory
-//! stand-in serializes to the wire data model instead, so a deployment can
-//! checkpoint to disk and restart).
+//! The `stacksync-metadata-v1` snapshot format: the full store state in
+//! the wire data model. The paper's PostgreSQL keeps this durable; here
+//! [`crate::ShardedStore::checkpoint`] writes it as `snapshot.json` and
+//! [`crate::ShardedStore::open_durable`] loads it as the base that the WAL
+//! replays over.
 
-use crate::error::MetadataResult;
 use crate::model::{ItemMetadata, Workspace, WorkspaceId};
-use crate::store::InMemoryStore;
 use content::ChunkId;
 use std::io::Write;
-use wire::{Codec, JsonCodec, Value, WireError, WireResult};
+use wire::{Value, WireError, WireResult};
 
 pub(crate) fn item_to_value(item: &ItemMetadata) -> Value {
     Value::Map(vec![
@@ -56,9 +55,8 @@ pub(crate) fn item_from_value(value: &Value) -> WireResult<ItemMetadata> {
     })
 }
 
-/// Full serializable state of a metadata store — the common denominator of
-/// [`InMemoryStore`] and [`crate::ShardedStore`], so both produce and load
-/// the same `stacksync-metadata-v1` snapshot format.
+/// Full serializable state of a metadata store, independent of how many
+/// partitions hold it.
 pub(crate) struct StoreParts {
     pub(crate) users: Vec<String>,
     pub(crate) workspaces: Vec<Workspace>,
@@ -179,81 +177,30 @@ pub(crate) fn write_atomic(path: &std::path::Path, bytes: &[u8]) -> std::io::Res
     Ok(())
 }
 
-impl InMemoryStore {
-    /// Serializes the full store state (users, workspaces, every item
-    /// version) into the wire data model.
-    pub fn snapshot(&self) -> Value {
-        let (users, workspaces, histories) = self.dump();
-        parts_to_value(&StoreParts {
-            users,
-            workspaces,
-            histories,
-        })
-    }
-
-    /// Reconstructs a store from a snapshot.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError`] when the value is not a v1 metadata snapshot.
-    pub fn restore(value: &Value) -> WireResult<InMemoryStore> {
-        let parts = parts_from_value(value)?;
-        Ok(InMemoryStore::from_dump(
-            parts.users,
-            parts.workspaces,
-            parts.histories,
-        ))
-    }
-
-    /// Serializes the snapshot as JSON bytes.
-    pub fn snapshot_json(&self) -> Vec<u8> {
-        JsonCodec.encode(&self.snapshot())
-    }
-
-    /// Restores from JSON bytes.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError`] on malformed input.
-    pub fn restore_json(bytes: &[u8]) -> WireResult<InMemoryStore> {
-        Self::restore(&JsonCodec.decode(bytes)?)
-    }
-
-    /// Checkpoints the store to a file, atomically: the snapshot is written
-    /// to a temp file, fsynced, and renamed into place, so a crash mid-write
-    /// can never corrupt an existing checkpoint.
-    ///
-    /// # Errors
-    ///
-    /// Filesystem errors.
-    pub fn checkpoint(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        write_atomic(path.as_ref(), &self.snapshot_json())
-    }
-
-    /// Loads a checkpoint from a file.
-    ///
-    /// # Errors
-    ///
-    /// Filesystem errors, or `InvalidData` for malformed snapshots.
-    pub fn load_checkpoint(path: impl AsRef<std::path::Path>) -> std::io::Result<InMemoryStore> {
-        let bytes = std::fs::read(path)?;
-        Self::restore_json(&bytes)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-    }
-}
-
-/// Used by tests: a `MetadataResult` alias so the module compiles alone.
-#[allow(dead_code)]
-type _Compat = MetadataResult<()>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::CommitResult;
     use crate::store::MetadataStore;
+    use crate::ShardedStore;
+    use std::path::{Path, PathBuf};
+    use wire::{Codec, JsonCodec};
 
-    fn populated() -> (InMemoryStore, WorkspaceId) {
-        let s = InMemoryStore::new();
+    fn temp_root(tag: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("stacksync-meta-snap-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn open(root: &Path, shards: usize) -> (ShardedStore, crate::DurableRecovery) {
+        let mut cfg = wal::LogConfig::named("snapshot-test");
+        cfg.sync = wal::SyncPolicy::Manual;
+        ShardedStore::open_durable(root, shards, std::time::Duration::ZERO, cfg).unwrap()
+    }
+
+    fn populated(root: &Path) -> (ShardedStore, WorkspaceId) {
+        let (s, _) = open(root, 2);
         s.create_user("alice").unwrap();
         s.create_user("bob").unwrap();
         let ws = s.create_workspace("alice", "Docs").unwrap();
@@ -271,10 +218,28 @@ mod tests {
         (s, ws)
     }
 
+    /// Checkpoints `store` and opens a 3-partition store over a copy of the
+    /// snapshot file alone, so every bit of state comes from the snapshot
+    /// (no log to replay).
+    fn restore(store: &ShardedStore, root: &Path) -> ShardedStore {
+        store.checkpoint().unwrap();
+        std::fs::create_dir_all(root).unwrap();
+        std::fs::copy(
+            store.durable_root().unwrap().join("snapshot.json"),
+            root.join("snapshot.json"),
+        )
+        .unwrap();
+        let (restored, rec) = open(root, 3);
+        assert!(rec.snapshot_loaded);
+        assert_eq!(rec.replayed, 0);
+        restored
+    }
+
     #[test]
     fn snapshot_restore_preserves_everything() {
-        let (original, ws) = populated();
-        let restored = InMemoryStore::restore(&original.snapshot()).unwrap();
+        let (src, dst) = (temp_root("src"), temp_root("dst"));
+        let (original, ws) = populated(&src);
+        let restored = restore(&original, &dst);
 
         // Users and workspaces (including sharing).
         let wss = restored.workspaces_of("bob").unwrap();
@@ -299,98 +264,41 @@ mod tests {
             out[0].result,
             CommitResult::Committed { version: 3 }
         ));
+        let _ = std::fs::remove_dir_all(&src);
+        let _ = std::fs::remove_dir_all(&dst);
     }
 
     #[test]
     fn json_checkpoint_roundtrip() {
-        let (original, ws) = populated();
-        let path =
-            std::env::temp_dir().join(format!("stacksync-meta-ckpt-{}.json", std::process::id()));
-        original.checkpoint(&path).unwrap();
-        let restored = InMemoryStore::load_checkpoint(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(
-            restored.current_items(&ws).unwrap(),
-            original.current_items(&ws).unwrap()
-        );
+        let root = temp_root("roundtrip");
+        let (original, ws) = populated(&root);
+        original.checkpoint().unwrap();
+        let expected = original.current_items(&ws).unwrap();
+        drop(original);
+        let (restored, rec) = open(&root, 2);
+        assert!(rec.snapshot_loaded);
+        assert_eq!(restored.current_items(&ws).unwrap(), expected);
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
     fn workspace_ids_continue_after_restore() {
         // New workspaces created after a restore must not collide with
         // pre-snapshot ids.
-        let (original, ws) = populated();
-        let restored = InMemoryStore::restore(&original.snapshot()).unwrap();
+        let (src, dst) = (temp_root("ids-src"), temp_root("ids-dst"));
+        let (original, ws) = populated(&src);
+        let restored = restore(&original, &dst);
         let new_ws = restored.create_workspace("alice", "Photos").unwrap();
         assert_ne!(new_ws, ws, "restored id counter must not reuse ids");
+        let _ = std::fs::remove_dir_all(&src);
+        let _ = std::fs::remove_dir_all(&dst);
     }
 
     #[test]
     fn bad_snapshots_rejected() {
-        assert!(InMemoryStore::restore(&Value::Null).is_err());
+        assert!(parts_from_value(&Value::Null).is_err());
         let wrong = Value::Map(vec![("format".into(), Value::from("nope"))]);
-        assert!(InMemoryStore::restore(&wrong).is_err());
-        assert!(InMemoryStore::restore_json(b"garbage").is_err());
-    }
-
-    #[test]
-    fn corrupted_or_truncated_checkpoints_load_as_invalid_data() {
-        let (original, _ws) = populated();
-        let path = std::env::temp_dir().join(format!(
-            "stacksync-meta-damaged-{}.json",
-            std::process::id()
-        ));
-        original.checkpoint(&path).unwrap();
-        let intact = std::fs::read(&path).unwrap();
-
-        // Truncation at various depths: every prefix must be rejected as
-        // InvalidData, never panic or load a partial store.
-        for cut in [0, 1, intact.len() / 3, intact.len() - 1] {
-            std::fs::write(&path, &intact[..cut]).unwrap();
-            let err = InMemoryStore::load_checkpoint(&path).unwrap_err();
-            assert_eq!(
-                err.kind(),
-                std::io::ErrorKind::InvalidData,
-                "truncation to {cut} bytes"
-            );
-        }
-
-        // Structural corruption inside the document: break a separator (the
-        // snapshot's strings contain no commas, so every `,` is structural).
-        let mut corrupt = intact.clone();
-        let comma = corrupt
-            .iter()
-            .position(|&b| b == b',')
-            .expect("snapshot has structural commas");
-        corrupt[comma] = b';';
-        std::fs::write(&path, &corrupt).unwrap();
-        assert!(InMemoryStore::load_checkpoint(&path).is_err());
-
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn checkpoint_replaces_existing_file_atomically() {
-        // A second checkpoint over an existing file goes through the temp
-        // file + rename path; the destination must hold the complete new
-        // snapshot and the temp file must be gone.
-        let (original, ws) = populated();
-        let path = std::env::temp_dir().join(format!(
-            "stacksync-meta-rewrite-{}.json",
-            std::process::id()
-        ));
-        original.checkpoint(&path).unwrap();
-        let cur = original.get_current(1).unwrap();
-        original
-            .commit(&ws, vec![cur.next_version(vec![], 2, "dev9")])
-            .unwrap();
-        original.checkpoint(&path).unwrap();
-        assert!(
-            !path.with_extension("tmp").exists(),
-            "temp file must be renamed away"
-        );
-        let restored = InMemoryStore::load_checkpoint(&path).unwrap();
-        assert_eq!(restored.get_current(1).unwrap().version, 3);
-        std::fs::remove_file(&path).ok();
+        assert!(parts_from_value(&wrong).is_err());
+        assert!(JsonCodec.decode(b"garbage").is_err());
     }
 }

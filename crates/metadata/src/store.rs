@@ -1,10 +1,8 @@
-//! The DAO trait and the serializable in-memory implementation.
+//! The DAO trait and the item tables that implement Algorithm 1.
 
 use crate::error::{MetadataError, MetadataResult};
 use crate::model::{CommitOutcome, CommitResult, ItemMetadata, Workspace, WorkspaceId};
-use parking_lot::Mutex;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::time::Duration;
+use std::collections::{BTreeSet, HashMap};
 
 /// The Data Access Object the SyncService talks through (paper §4.2.1:
 /// "The SyncService interacts with the Metadata back-end using an
@@ -93,10 +91,9 @@ pub trait MetadataStore: Send + Sync {
     fn history(&self, item_id: u64) -> MetadataResult<Vec<ItemMetadata>>;
 }
 
-/// The item tables every store partition maintains: version chains plus the
-/// per-workspace index. Shared between [`InMemoryStore`] (one global
-/// partition) and [`crate::ShardedStore`] (one per shard), so Algorithm 1
-/// is written exactly once.
+/// The item tables every partition of [`crate::ShardedStore`] maintains:
+/// version chains plus the per-workspace index. Algorithm 1 is written
+/// exactly once, here.
 #[derive(Debug, Default)]
 pub(crate) struct ItemTables {
     /// item id -> all versions, oldest first.
@@ -194,238 +191,22 @@ impl ItemTables {
     }
 }
 
-#[derive(Debug, Default)]
-struct Inner {
-    users: BTreeSet<String>,
-    workspaces: BTreeMap<String, Workspace>,
-    tables: ItemTables,
-    next_workspace: u64,
-}
-
-/// Serializable in-memory metadata store.
-///
-/// One mutex serializes every transaction — the moral equivalent of
-/// `SERIALIZABLE` isolation, and the strongest form of the ACID semantics
-/// the paper leans on. Clones share state.
-///
-/// The optional *commit latency* models the transaction time of the ACID
-/// back-end this store stands in for (the paper's PostgreSQL): it is spent
-/// **while holding the store lock**, exactly as a relational back-end holds
-/// its row locks across the transaction round trip. With the global mutex,
-/// that latency serializes across every workspace — the bottleneck
-/// [`crate::ShardedStore`] removes.
-#[derive(Debug, Default)]
-pub struct InMemoryStore {
-    inner: Mutex<Inner>,
-    commit_latency: Duration,
-}
-
-impl InMemoryStore {
-    /// Creates an empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an empty store whose commit transactions each take
-    /// `latency`, held under the serialization lock (see the type docs).
-    pub fn with_commit_latency(latency: Duration) -> Self {
-        InMemoryStore {
-            inner: Mutex::new(Inner::default()),
-            commit_latency: latency,
-        }
-    }
-
-    /// Dumps the full state for snapshotting: users, workspaces, and every
-    /// item's version history (oldest first).
-    pub(crate) fn dump(&self) -> (Vec<String>, Vec<Workspace>, Vec<Vec<ItemMetadata>>) {
-        let inner = self.inner.lock();
-        let users = inner.users.iter().cloned().collect();
-        let workspaces = inner.workspaces.values().cloned().collect();
-        let mut histories: Vec<Vec<ItemMetadata>> = inner.tables.items.values().cloned().collect();
-        histories.sort_by_key(|v| v[0].item_id);
-        (users, workspaces, histories)
-    }
-
-    /// Rebuilds a store from dumped state (inverse of
-    /// [`InMemoryStore::dump`]). Workspace id allocation resumes past the
-    /// highest restored id.
-    pub(crate) fn from_dump(
-        users: Vec<String>,
-        workspaces: Vec<Workspace>,
-        histories: Vec<Vec<ItemMetadata>>,
-    ) -> InMemoryStore {
-        let mut inner = Inner {
-            users: users.into_iter().collect(),
-            ..Inner::default()
-        };
-        for ws in workspaces {
-            inner.next_workspace = inner.next_workspace.max(
-                ws.id
-                    .0
-                    .strip_prefix("ws-")
-                    .and_then(|n| n.parse::<u64>().ok())
-                    .unwrap_or(0),
-            );
-            inner
-                .tables
-                .by_workspace
-                .entry(ws.id.0.clone())
-                .or_default();
-            inner.workspaces.insert(ws.id.0.clone(), ws);
-        }
-        for versions in histories {
-            if let Some(first) = versions.first() {
-                inner
-                    .tables
-                    .by_workspace
-                    .entry(first.workspace.0.clone())
-                    .or_default()
-                    .insert(first.item_id);
-                inner.tables.items.insert(first.item_id, versions);
-            }
-        }
-        InMemoryStore {
-            inner: Mutex::new(inner),
-            commit_latency: Duration::ZERO,
-        }
-    }
-}
-
-impl MetadataStore for InMemoryStore {
-    fn create_user(&self, user: &str) -> MetadataResult<()> {
-        let mut inner = self.inner.lock();
-        if !inner.users.insert(user.to_string()) {
-            return Err(MetadataError::UserExists(user.to_string()));
-        }
-        Ok(())
-    }
-
-    fn create_workspace(&self, user: &str, name: &str) -> MetadataResult<WorkspaceId> {
-        let mut inner = self.inner.lock();
-        if !inner.users.contains(user) {
-            return Err(MetadataError::UnknownUser(user.to_string()));
-        }
-        inner.next_workspace += 1;
-        let id = WorkspaceId(format!("ws-{}", inner.next_workspace));
-        inner.workspaces.insert(
-            id.0.clone(),
-            Workspace {
-                id: id.clone(),
-                owner: user.to_string(),
-                name: name.to_string(),
-                members: Vec::new(),
-            },
-        );
-        inner
-            .tables
-            .by_workspace
-            .insert(id.0.clone(), BTreeSet::new());
-        Ok(id)
-    }
-
-    fn workspaces_of(&self, user: &str) -> MetadataResult<Vec<Workspace>> {
-        let inner = self.inner.lock();
-        if !inner.users.contains(user) {
-            return Err(MetadataError::UnknownUser(user.to_string()));
-        }
-        Ok(inner
-            .workspaces
-            .values()
-            .filter(|w| w.owner == user || w.members.iter().any(|m| m == user))
-            .cloned()
-            .collect())
-    }
-
-    fn share_workspace(&self, workspace: &WorkspaceId, user: &str) -> MetadataResult<()> {
-        let mut inner = self.inner.lock();
-        if !inner.users.contains(user) {
-            return Err(MetadataError::UnknownUser(user.to_string()));
-        }
-        let ws = inner
-            .workspaces
-            .get_mut(&workspace.0)
-            .ok_or_else(|| MetadataError::UnknownWorkspace(workspace.0.clone()))?;
-        if ws.owner != user && !ws.members.iter().any(|m| m == user) {
-            ws.members.push(user.to_string());
-        }
-        Ok(())
-    }
-
-    fn get_workspace(&self, workspace: &WorkspaceId) -> MetadataResult<Workspace> {
-        self.inner
-            .lock()
-            .workspaces
-            .get(&workspace.0)
-            .cloned()
-            .ok_or_else(|| MetadataError::UnknownWorkspace(workspace.0.clone()))
-    }
-
-    fn commit(
-        &self,
-        workspace: &WorkspaceId,
-        proposals: Vec<ItemMetadata>,
-    ) -> MetadataResult<Vec<CommitOutcome>> {
-        let lock_start = obs::now_ns();
-        let mut inner = self.inner.lock();
-        let lock_end = obs::now_ns();
-        if !inner.workspaces.contains_key(&workspace.0) {
-            return Err(MetadataError::UnknownWorkspace(workspace.0.clone()));
-        }
-        if !self.commit_latency.is_zero() {
-            std::thread::sleep(self.commit_latency);
-        }
-        let mut outcomes = Vec::with_capacity(proposals.len());
-        for proposed in proposals {
-            outcomes.push(inner.tables.apply_proposal(workspace, proposed)?);
-        }
-        // Critical-path instrumentation: how long this commit waited on the
-        // serialization lock vs. spent in the transaction proper.
-        if let Some(parent) = obs::current() {
-            let txn_end = obs::now_ns();
-            obs::record_manual("meta.lock_wait", &parent, lock_start, lock_end);
-            obs::record_manual("meta.txn", &parent, lock_end, txn_end);
-        }
-        Ok(outcomes)
-    }
-
-    fn current_items(&self, workspace: &WorkspaceId) -> MetadataResult<Vec<ItemMetadata>> {
-        self.inner
-            .lock()
-            .tables
-            .current_of(workspace)
-            .ok_or_else(|| MetadataError::UnknownWorkspace(workspace.0.clone()))
-    }
-
-    fn get_current(&self, item_id: u64) -> MetadataResult<ItemMetadata> {
-        self.inner
-            .lock()
-            .tables
-            .items
-            .get(&item_id)
-            .and_then(|v| v.last())
-            .cloned()
-            .ok_or(MetadataError::UnknownItem(item_id))
-    }
-
-    fn history(&self, item_id: u64) -> MetadataResult<Vec<ItemMetadata>> {
-        self.inner
-            .lock()
-            .tables
-            .items
-            .get(&item_id)
-            .cloned()
-            .ok_or(MetadataError::UnknownItem(item_id))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ShardedStore;
     use content::ChunkId;
     use std::sync::Arc;
+    use std::time::Duration;
 
-    fn setup() -> (InMemoryStore, WorkspaceId) {
-        let s = InMemoryStore::new();
+    /// The single-lock configuration: every transaction serializes on the
+    /// one partition.
+    fn store() -> ShardedStore {
+        ShardedStore::with_shards(1)
+    }
+
+    fn setup() -> (ShardedStore, WorkspaceId) {
+        let s = store();
         s.create_user("alice").unwrap();
         let ws = s.create_workspace("alice", "Documents").unwrap();
         (s, ws)
@@ -440,7 +221,7 @@ mod tests {
 
     #[test]
     fn duplicate_user_rejected() {
-        let s = InMemoryStore::new();
+        let s = store();
         s.create_user("u").unwrap();
         assert!(matches!(
             s.create_user("u"),
@@ -450,7 +231,7 @@ mod tests {
 
     #[test]
     fn workspace_requires_user() {
-        let s = InMemoryStore::new();
+        let s = store();
         assert!(matches!(
             s.create_workspace("ghost", "x"),
             Err(MetadataError::UnknownUser(_))
@@ -459,7 +240,7 @@ mod tests {
 
     #[test]
     fn workspaces_of_lists_only_own() {
-        let s = InMemoryStore::new();
+        let s = store();
         s.create_user("a").unwrap();
         s.create_user("b").unwrap();
         let wa = s.create_workspace("a", "A").unwrap();
@@ -594,7 +375,7 @@ mod tests {
 
     #[test]
     fn items_are_pinned_to_their_workspace() {
-        let s = InMemoryStore::new();
+        let s = store();
         s.create_user("alice").unwrap();
         let ws1 = s.create_workspace("alice", "A").unwrap();
         let ws2 = s.create_workspace("alice", "B").unwrap();
@@ -648,7 +429,7 @@ mod tests {
 
     #[test]
     fn commit_latency_is_spent_inside_the_transaction() {
-        let s = InMemoryStore::with_commit_latency(Duration::from_millis(5));
+        let s = ShardedStore::with_shards_and_latency(1, Duration::from_millis(5));
         s.create_user("u").unwrap();
         let ws = s.create_workspace("u", "W").unwrap();
         let start = std::time::Instant::now();

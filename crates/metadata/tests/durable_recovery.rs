@@ -239,3 +239,103 @@ fn non_durable_store_rejects_durable_only_calls() {
     store.wal_simulate_crash(0);
     store.create_user("still-works").unwrap();
 }
+
+/// A store with a checkpoint on disk: a user, a workspace and a two-version
+/// chain, so `snapshot.json` has nested lists and maps to damage.
+fn checkpointed(root: &PathBuf) -> ShardedStore {
+    let (store, _) = open(root, 2);
+    store.create_user("alice").unwrap();
+    let ws = store.create_workspace("alice", "Docs").unwrap();
+    let f = ItemMetadata::new_file(1, &ws, "a.txt", vec![], 1, "d");
+    store.commit(&ws, vec![f.clone()]).unwrap();
+    store
+        .commit(&ws, vec![f.next_version(vec![], 2, "d")])
+        .unwrap();
+    store.checkpoint().unwrap();
+    store
+}
+
+#[test]
+fn corrupted_or_truncated_snapshots_open_as_invalid_data() {
+    let root = temp_root("damaged");
+    drop(checkpointed(&root));
+    let snap = root.join("snapshot.json");
+    let intact = std::fs::read(&snap).unwrap();
+    let open_err =
+        || match ShardedStore::open_durable(&root, 2, std::time::Duration::ZERO, manual_cfg()) {
+            Ok(_) => panic!("a damaged snapshot must not open"),
+            Err(e) => e,
+        };
+
+    // Truncation at various depths: every prefix must be rejected as
+    // InvalidData, never panic or open a partial store.
+    for cut in [0, 1, intact.len() / 3, intact.len() - 1] {
+        std::fs::write(&snap, &intact[..cut]).unwrap();
+        assert_eq!(
+            open_err().kind(),
+            std::io::ErrorKind::InvalidData,
+            "truncation to {cut} bytes"
+        );
+    }
+
+    // Structural corruption inside the document: break a separator (the
+    // snapshot's strings contain no commas, so every `,` is structural).
+    let mut corrupt = intact.clone();
+    let comma = corrupt
+        .iter()
+        .position(|&b| b == b',')
+        .expect("snapshot has structural commas");
+    corrupt[comma] = b';';
+    std::fs::write(&snap, &corrupt).unwrap();
+    assert_eq!(open_err().kind(), std::io::ErrorKind::InvalidData);
+
+    // Well-formed JSON in an unknown format is rejected the same way.
+    std::fs::write(&snap, br#"{"format":"nope"}"#).unwrap();
+    assert_eq!(open_err().kind(), std::io::ErrorKind::InvalidData);
+
+    // The intact snapshot still opens.
+    std::fs::write(&snap, &intact).unwrap();
+    let (store, rec) = open(&root, 2);
+    assert!(rec.snapshot_loaded);
+    assert_eq!(store.get_current(1).unwrap().version, 2);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn checkpoint_replaces_existing_snapshot_atomically() {
+    // A second checkpoint over an existing snapshot goes through the temp
+    // file + rename path; the destination must hold the complete new
+    // snapshot and the temp file must be gone.
+    let root = temp_root("rewrite");
+    let store = checkpointed(&root);
+    let cur = store.get_current(1).unwrap();
+    store
+        .commit(&cur.workspace, vec![cur.next_version(vec![], 3, "d9")])
+        .unwrap();
+    store.checkpoint().unwrap();
+    let leftovers: Vec<PathBuf> = std::fs::read_dir(&root)
+        .unwrap()
+        .filter_map(|e| e.ok())
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|x| x == "tmp"))
+        .collect();
+    assert!(
+        leftovers.is_empty(),
+        "temp file must be renamed away: {leftovers:?}"
+    );
+    let expected = snap_bytes(&store);
+    drop(store);
+
+    // The snapshot alone (logs removed) holds the complete new state.
+    for entry in std::fs::read_dir(&root).unwrap().filter_map(|e| e.ok()) {
+        if entry.path().is_dir() {
+            std::fs::remove_dir_all(entry.path()).unwrap();
+        }
+    }
+    let (store, rec) = open(&root, 2);
+    assert!(rec.snapshot_loaded);
+    assert_eq!(rec.replayed, 0);
+    assert_eq!(store.get_current(1).unwrap().version, 3);
+    assert_eq!(snap_bytes(&store), expected);
+    let _ = std::fs::remove_dir_all(&root);
+}

@@ -1,11 +1,15 @@
-//! Property tests of the metadata store against a simple oracle model:
-//! commits are exactly "accept iff version == current + 1 (or first
-//! version, or an identical replay of the current version)", histories
-//! stay gapless, and the store agrees with the oracle under arbitrary
-//! schedules.
+//! Property tests of the single-lock metadata store
+//! (`ShardedStore::with_shards(1)`) against simple oracles: commits are
+//! exactly "accept iff version == current + 1 (or first version, or an
+//! identical replay of the current version)", histories stay gapless, a
+//! batch decides exactly what the reference model of Algorithm 1 decides
+//! one proposal at a time, and a checkpoint restores losslessly.
 
-use metadata::{CommitResult, InMemoryStore, ItemMetadata, MetadataStore, WorkspaceId};
+mod spec;
+
+use metadata::{CommitResult, ItemMetadata, MetadataStore, ShardedStore, WorkspaceId};
 use proptest::prelude::*;
+use spec::Spec;
 use std::collections::HashMap;
 
 #[derive(Debug, Clone)]
@@ -30,7 +34,7 @@ proptest! {
     fn store_agrees_with_version_oracle(
         proposals in proptest::collection::vec(arb_proposal(), 1..80),
     ) {
-        let store = InMemoryStore::new();
+        let store = ShardedStore::with_shards(1);
         store.create_user("u").unwrap();
         let ws = store.create_workspace("u", "w").unwrap();
         // Oracle: item -> (current version, deleted flag of that version).
@@ -91,40 +95,40 @@ proptest! {
     fn batch_commit_equals_sequential_commits(
         proposals in proptest::collection::vec(arb_proposal(), 1..40),
     ) {
-        // Committing a batch must produce exactly the same outcomes as
-        // committing its elements one by one (Algorithm 1 processes the
-        // list in order with no rollback).
+        // Committing a batch must produce exactly the outcomes of
+        // committing its elements one by one through the reference model
+        // (Algorithm 1 processes the list in order with no rollback).
         let mk = |p: &Proposal, ws: &WorkspaceId| ItemMetadata {
             version: p.version,
             is_deleted: p.deleted,
             ..ItemMetadata::new_file(p.item, ws, &format!("f{}", p.item), vec![], 1, "d")
         };
 
-        let batched = InMemoryStore::new();
+        let batched = ShardedStore::with_shards(1);
         batched.create_user("u").unwrap();
-        let ws_b = batched.create_workspace("u", "w").unwrap();
+        let ws = batched.create_workspace("u", "w").unwrap();
         let outcomes_batched = batched
-            .commit(&ws_b, proposals.iter().map(|p| mk(p, &ws_b)).collect())
+            .commit(&ws, proposals.iter().map(|p| mk(p, &ws)).collect())
             .unwrap();
 
-        let sequential = InMemoryStore::new();
-        sequential.create_user("u").unwrap();
-        let ws_s = sequential.create_workspace("u", "w").unwrap();
+        let mut sequential = Spec::new();
+        prop_assert_eq!(sequential.create_workspace(), ws.clone());
         let mut outcomes_sequential = Vec::new();
         for p in &proposals {
-            outcomes_sequential.extend(sequential.commit(&ws_s, vec![mk(p, &ws_s)]).unwrap());
+            outcomes_sequential.extend(sequential.commit(&ws, vec![mk(p, &ws)]).unwrap());
         }
 
-        let accepts_a: Vec<bool> = outcomes_batched.iter().map(|o| o.is_committed()).collect();
-        let accepts_b: Vec<bool> = outcomes_sequential.iter().map(|o| o.is_committed()).collect();
-        prop_assert_eq!(accepts_a, accepts_b);
+        prop_assert_eq!(outcomes_batched, outcomes_sequential);
     }
 
     #[test]
     fn snapshot_restore_is_lossless(
         proposals in proptest::collection::vec(arb_proposal(), 1..40),
     ) {
-        let store = InMemoryStore::new();
+        // Checkpoint, then reopen from the snapshot file alone (no log to
+        // replay): every chain must come back exactly.
+        let (src, dst) = (temp_root("src"), temp_root("dst"));
+        let store = open(&src);
         store.create_user("u").unwrap();
         let ws = store.create_workspace("u", "w").unwrap();
         for p in &proposals {
@@ -135,7 +139,10 @@ proptest! {
             };
             let _ = store.commit(&ws, vec![meta]);
         }
-        let restored = InMemoryStore::restore(&store.snapshot()).unwrap();
+        store.checkpoint().unwrap();
+        std::fs::create_dir_all(&dst).unwrap();
+        std::fs::copy(src.join("snapshot.json"), dst.join("snapshot.json")).unwrap();
+        let restored = open(&dst);
         prop_assert_eq!(
             restored.current_items(&ws).unwrap(),
             store.current_items(&ws).unwrap()
@@ -143,5 +150,23 @@ proptest! {
         for item in 0u64..6 {
             prop_assert_eq!(restored.history(item).ok(), store.history(item).ok());
         }
+        let _ = std::fs::remove_dir_all(&src);
+        let _ = std::fs::remove_dir_all(&dst);
     }
+}
+
+fn temp_root(tag: &str) -> std::path::PathBuf {
+    static N: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let n = N.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("meta-props-{tag}-{}-{n}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+fn open(root: &std::path::Path) -> ShardedStore {
+    let mut cfg = wal::LogConfig::named("props");
+    cfg.sync = wal::SyncPolicy::Manual;
+    ShardedStore::open_durable(root, 1, std::time::Duration::ZERO, cfg)
+        .unwrap()
+        .0
 }

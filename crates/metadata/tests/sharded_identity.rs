@@ -1,21 +1,22 @@
-//! The sharding identity property: for any multi-workspace commit
-//! interleaving, [`ShardedStore`] produces exactly the same
-//! [`CommitOutcome`] sequence per workspace as the global-mutex
-//! [`InMemoryStore`].
+//! The store-against-spec property: for any multi-workspace commit
+//! interleaving and any partition count from 1 to 8, [`ShardedStore`]
+//! produces exactly the same commit outcomes and errors as the sequential
+//! reference model of Algorithm 1 in `spec/`.
 //!
-//! This is what licenses swapping the store under a live SyncService pool:
-//! partitioning changes *which commits can overlap in time*, never *what
-//! any single commit decides*. The property replays one randomly generated
-//! interleaved history — proposals hopping between several workspaces,
-//! valid versions, stale versions, replays, tombstones, and
-//! wrong-workspace pokes — through both stores in the same order and
-//! demands identical outcomes, identical errors, identical final state.
+//! The model shares no code with the store, so this checks Algorithm 1
+//! itself as well as partitioning: partitioning may change *which commits
+//! can overlap in time*, never *what any single commit decides*. The
+//! property replays one randomly generated interleaved history — proposals
+//! hopping between several workspaces, valid versions, stale versions,
+//! replays, tombstones, and wrong-workspace pokes — through the store and
+//! the model in the same order and demands identical outcomes, identical
+//! errors, identical final state.
 
-use metadata::{
-    CommitOutcome, CommitResult, InMemoryStore, ItemMetadata, MetadataError, MetadataStore,
-    ShardedStore, WorkspaceId,
-};
+mod spec;
+
+use metadata::{ItemMetadata, MetadataStore, ShardedStore, WorkspaceId};
 use proptest::prelude::*;
+use spec::Spec;
 
 const WORKSPACES: u64 = 6;
 const ITEMS_PER_WS: u64 = 4;
@@ -75,105 +76,86 @@ fn proposal(step: &Step, ws: &WorkspaceId) -> ItemMetadata {
     }
 }
 
-/// Outcome comparison key: everything a client can observe of a commit.
-fn observed(result: Result<Vec<CommitOutcome>, MetadataError>) -> String {
-    match result {
-        Ok(outcomes) => outcomes
-            .iter()
-            .map(|o| match &o.result {
-                CommitResult::Committed { version } => {
-                    format!("item {} committed v{version};", o.item_id)
-                }
-                CommitResult::Conflict { current } => format!(
-                    "item {} conflict cur v{} del {} by {};",
-                    o.item_id, current.version, current.is_deleted, current.modified_by
-                ),
-            })
-            .collect(),
-        Err(e) => format!("error: {e}"),
-    }
-}
-
-fn provision(store: &dyn MetadataStore) -> Vec<WorkspaceId> {
+/// Creates `WORKSPACES` workspaces in the store and the model; both
+/// allocate `ws-1..ws-N` in order, so the ids must line up.
+fn provision(store: &dyn MetadataStore, model: &mut Spec) -> Vec<WorkspaceId> {
     store.create_user("u").unwrap();
-    (0..WORKSPACES)
+    let ids: Vec<WorkspaceId> = (0..WORKSPACES)
         .map(|i| store.create_workspace("u", &format!("w{i}")).unwrap())
-        .collect()
+        .collect();
+    let model_ids: Vec<WorkspaceId> = (0..WORKSPACES).map(|_| model.create_workspace()).collect();
+    assert_eq!(ids, model_ids);
+    ids
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Replaying the same interleaved multi-workspace history through both
-    /// stores yields identical per-commit outcomes and identical final
-    /// per-workspace state.
+    /// Replaying the same interleaved multi-workspace history through the
+    /// store and the model yields identical per-commit outcomes and
+    /// identical final per-workspace state.
     #[test]
-    fn sharded_matches_global_outcome_for_outcome(
+    fn sharded_matches_spec_outcome_for_outcome(
         steps in proptest::collection::vec(arb_step(), 1..120),
         shards in 1usize..9,
     ) {
-        let global = InMemoryStore::new();
-        let sharded = ShardedStore::with_shards(shards);
-        let ws_g = provision(&global);
-        let ws_s = provision(&sharded);
-        // Both stores allocate ws-1..ws-N in order, so ids line up.
-        prop_assert_eq!(&ws_g, &ws_s);
+        let mut model = Spec::new();
+        let store = ShardedStore::with_shards(shards);
+        let ws = provision(&store, &mut model);
 
         for (i, step) in steps.iter().enumerate() {
-            let g = observed(global.commit(&ws_g[step.ws], vec![proposal(step, &ws_g[step.ws])]));
-            let s = observed(sharded.commit(&ws_s[step.ws], vec![proposal(step, &ws_s[step.ws])]));
-            prop_assert_eq!(g, s, "divergence at step {} ({:?})", i, step);
+            let want = model.commit(&ws[step.ws], vec![proposal(step, &ws[step.ws])]);
+            let got = store.commit(&ws[step.ws], vec![proposal(step, &ws[step.ws])]);
+            prop_assert_eq!(want, got, "divergence at step {} ({:?})", i, step);
         }
 
         // Final state: per-workspace listings and per-item chains agree.
-        for ws in &ws_g {
-            let mut g = global.current_items(ws).unwrap();
-            let mut s = sharded.current_items(ws).unwrap();
-            g.sort_by_key(|m| m.item_id);
-            s.sort_by_key(|m| m.item_id);
-            prop_assert_eq!(g, s, "workspace {} listing diverged", ws);
+        for w in &ws {
+            let mut listed = store.current_items(w).unwrap();
+            listed.sort_by_key(|m| m.item_id);
+            prop_assert_eq!(model.current_items(w), listed, "workspace {} listing diverged", w);
         }
-        for ws in 0..WORKSPACES as usize {
+        for w in 0..WORKSPACES as usize {
             for slot in 0..ITEMS_PER_WS {
-                let id = item_id(ws, slot);
-                prop_assert_eq!(global.history(id).ok(), sharded.history(id).ok());
-                prop_assert_eq!(global.get_current(id).ok(), sharded.get_current(id).ok());
+                let id = item_id(w, slot);
+                prop_assert_eq!(model.history(id), store.history(id).ok());
+                prop_assert_eq!(model.get_current(id), store.get_current(id).ok());
             }
         }
     }
 
     /// Batches behave identically too: the same steps grouped into one
-    /// commit per workspace-run keep the stores in lockstep.
+    /// commit per workspace-run keep the store and the model in lockstep,
+    /// including a batch cut short by a wrong-workspace proposal.
     #[test]
-    fn sharded_matches_global_on_batches(
+    fn sharded_matches_spec_on_batches(
         steps in proptest::collection::vec(arb_step(), 1..60),
-        shards in 2usize..9,
+        shards in 1usize..9,
     ) {
-        let global = InMemoryStore::new();
-        let sharded = ShardedStore::with_shards(shards);
-        let ws_g = provision(&global);
-        let ws_s = provision(&sharded);
+        let mut model = Spec::new();
+        let store = ShardedStore::with_shards(shards);
+        let ws = provision(&store, &mut model);
 
         // Group consecutive steps targeting the same workspace into one
         // batch — the shape a SyncService commit_request produces.
         let mut batches: Vec<(usize, Vec<Step>)> = Vec::new();
         for step in steps {
             match batches.last_mut() {
-                Some((ws, group)) if *ws == step.ws => group.push(step),
+                Some((w, group)) if *w == step.ws => group.push(step),
                 _ => batches.push((step.ws, vec![step])),
             }
         }
 
-        for (ws, group) in &batches {
-            let g = observed(global.commit(
-                &ws_g[*ws],
-                group.iter().map(|p| proposal(p, &ws_g[*ws])).collect(),
-            ));
-            let s = observed(sharded.commit(
-                &ws_s[*ws],
-                group.iter().map(|p| proposal(p, &ws_s[*ws])).collect(),
-            ));
-            prop_assert_eq!(g, s, "batch for workspace {} diverged", ws);
+        for (w, group) in &batches {
+            let batch: Vec<ItemMetadata> = group.iter().map(|p| proposal(p, &ws[*w])).collect();
+            let want = model.commit(&ws[*w], batch.clone());
+            let got = store.commit(&ws[*w], batch);
+            prop_assert_eq!(want, got, "batch for workspace {} diverged", w);
+        }
+        for w in &ws {
+            let mut listed = store.current_items(w).unwrap();
+            listed.sort_by_key(|m| m.item_id);
+            prop_assert_eq!(model.current_items(w), listed, "workspace {} listing diverged", w);
         }
     }
 }

@@ -106,6 +106,9 @@ fn write_string(out: &mut String, s: &str) {
 }
 
 struct Parser<'a> {
+    /// The document, already validated as UTF-8, so string runs are sliced
+    /// out of it rather than re-validated.
+    src: &'a str,
     text: &'a [u8],
     pos: usize,
 }
@@ -113,6 +116,7 @@ struct Parser<'a> {
 /// Parses a complete JSON document.
 fn parse(text: &str) -> WireResult<Value> {
     let mut p = Parser {
+        src: text,
         text: text.as_bytes(),
         pos: 0,
     };
@@ -279,12 +283,17 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 _ => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.text[self.pos..])
-                        .map_err(|_| WireError::InvalidUtf8)?;
-                    let c = rest.chars().next().ok_or(WireError::UnexpectedEof)?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run of unescaped bytes up to the next quote
+                    // or backslash as one slice. Both are ASCII, so the run
+                    // ends on a char boundary of the validated text, and
+                    // every byte is visited once: decoding is linear.
+                    let start = self.pos;
+                    let run = self.text[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .ok_or(WireError::UnexpectedEof)?;
+                    self.pos += run;
+                    out.push_str(&self.src[start..self.pos]);
                 }
             }
         }
@@ -488,6 +497,35 @@ mod tests {
                 proptest::collection::vec(("\\PC{0,6}", inner), 0..5).prop_map(Value::Map),
             ]
         })
+    }
+
+    /// Best-of-5 wall time to decode one JSON string of `len` bytes
+    /// (`len` even: the string is made of 2-byte characters).
+    fn decode_time(len: usize) -> std::time::Duration {
+        let doc = format!("\"{}\"", "é".repeat(len / 2));
+        (0..5)
+            .map(|_| {
+                let start = std::time::Instant::now();
+                let v = parse(&doc).unwrap();
+                let took = start.elapsed();
+                assert!(matches!(&v, Value::Str(s) if s.len() == len));
+                took
+            })
+            .min()
+            .unwrap()
+    }
+
+    #[test]
+    fn string_decode_time_is_linear_in_length() {
+        // Doubling the input must not much more than double the work: a
+        // decoder that rescans the rest of the document per character is
+        // quadratic and takes about 4x as long.
+        let small = decode_time(64 * 1024);
+        let large = decode_time(128 * 1024);
+        assert!(
+            large < small * 3,
+            "128 KiB took {large:?}, 64 KiB took {small:?}: decoding is not linear"
+        );
     }
 
     proptest! {

@@ -23,7 +23,7 @@
 
 use faultsim::{run_seed_with, FaultRates, SimConfig};
 use integration_tests::{became_true, wait_until};
-use metadata::{InMemoryStore, MetadataStore};
+use metadata::{MetadataStore, ShardedStore};
 use mqsim::{MessageBroker, VirtualClock};
 use objectmq::{Broker, BrokerConfig, RemoteBroker, Supervisor, SupervisorConfig};
 use stacksync::{provision_user, ClientConfig, DesktopClient, SyncService, SYNC_SERVICE_OID};
@@ -85,7 +85,7 @@ fn supervisor_pacing_runs_on_the_virtual_clock() {
     // respawned until the test advances time — and then immediately is,
     // without anyone sleeping an hour.
     let broker = Broker::in_process();
-    let meta: Arc<dyn MetadataStore> = Arc::new(InMemoryStore::new());
+    let meta: Arc<dyn MetadataStore> = Arc::new(ShardedStore::new());
     let service = SyncService::builder(&broker).store(meta.clone()).build();
     let node = RemoteBroker::start(broker.clone(), 1).unwrap();
     node.register_factory(SYNC_SERVICE_OID, service.factory());
@@ -142,7 +142,7 @@ fn full_stack_works_over_json_transport() {
     };
     let broker = Broker::new(MessageBroker::new(), config);
     let store = SwiftStore::new(LatencyModel::instant());
-    let meta: Arc<dyn MetadataStore> = Arc::new(InMemoryStore::new());
+    let meta: Arc<dyn MetadataStore> = Arc::new(ShardedStore::new());
     let service = SyncService::builder(&broker).store(meta.clone()).build();
     let _server = service.bind(&broker).unwrap();
     let ws = provision_user(meta.as_ref(), "json", "ws").unwrap();

@@ -2,7 +2,7 @@
 //! checkpoint let the entire "server side" restart without losing the
 //! personal cloud — the deployment property a downstream user needs.
 
-use metadata::{InMemoryStore, MetadataStore, WorkspaceId};
+use metadata::{MetadataStore, ShardedStore, WorkspaceId};
 use objectmq::Broker;
 use stacksync::{provision_user, ClientConfig, DesktopClient, SyncService};
 use std::path::PathBuf;
@@ -16,11 +16,22 @@ fn temp_dir(tag: &str) -> PathBuf {
     d
 }
 
+/// Opens (or reopens) the WAL-backed metadata store rooted at `root`.
+fn open_meta(root: &PathBuf) -> Arc<ShardedStore> {
+    let (store, _) = ShardedStore::open_durable(
+        root,
+        2,
+        Duration::ZERO,
+        wal::LogConfig::named("persistence"),
+    )
+    .unwrap();
+    Arc::new(store)
+}
+
 #[test]
 fn server_side_restart_preserves_the_cloud() {
     let chunk_root = temp_dir("chunks");
-    let checkpoint =
-        std::env::temp_dir().join(format!("stacksync-e2e-meta-{}.json", std::process::id()));
+    let meta_root = temp_dir("meta");
     let payload: Vec<u8> = (0..50_000u32).map(|i| (i % 241) as u8).collect();
     let ws: WorkspaceId;
 
@@ -29,7 +40,7 @@ fn server_side_restart_preserves_the_cloud() {
         let broker = Broker::in_process();
         let backend = Arc::new(DiskBackend::open(&chunk_root).unwrap());
         let store = SwiftStore::with_backend(LatencyModel::instant(), backend);
-        let meta = Arc::new(InMemoryStore::new());
+        let meta = open_meta(&meta_root);
         let service = SyncService::builder(&broker).store(meta.clone()).build();
         let _server = service.bind(&broker).unwrap();
         ws = provision_user(meta.as_ref(), "alice", "Docs").unwrap();
@@ -50,7 +61,7 @@ fn server_side_restart_preserves_the_cloud() {
             service.commits_processed() >= 3
         }));
         // Checkpoint the metadata tier; chunks are already on disk.
-        meta.checkpoint(&checkpoint).unwrap();
+        meta.checkpoint().unwrap();
         // Everything is dropped here: broker, service, clients — a crash.
     }
 
@@ -59,7 +70,7 @@ fn server_side_restart_preserves_the_cloud() {
         let broker = Broker::in_process();
         let backend = Arc::new(DiskBackend::open(&chunk_root).unwrap());
         let store = SwiftStore::with_backend(LatencyModel::instant(), backend);
-        let meta = Arc::new(InMemoryStore::load_checkpoint(&checkpoint).unwrap());
+        let meta = open_meta(&meta_root);
         let service = SyncService::builder(&broker).store(meta.clone()).build();
         let _server = service.bind(&broker).unwrap();
 
@@ -88,24 +99,18 @@ fn server_side_restart_preserves_the_cloud() {
         assert!(device.wait(Duration::from_secs(10), || {
             service.commits_processed() >= 1
         }));
-        assert_eq!(meta.get_current_version_of("keep.bin", &ws), Some(2));
+        assert_eq!(current_version_of(meta.as_ref(), "keep.bin", &ws), Some(2));
     }
 
     std::fs::remove_dir_all(&chunk_root).ok();
-    std::fs::remove_file(&checkpoint).ok();
+    std::fs::remove_dir_all(&meta_root).ok();
 }
 
 /// Test helper: look up an item version by path within a workspace.
-trait VersionByPath {
-    fn get_current_version_of(&self, path: &str, ws: &WorkspaceId) -> Option<u64>;
-}
-
-impl VersionByPath for InMemoryStore {
-    fn get_current_version_of(&self, path: &str, ws: &WorkspaceId) -> Option<u64> {
-        self.current_items(ws)
-            .ok()?
-            .into_iter()
-            .find(|i| i.path == path)
-            .map(|i| i.version)
-    }
+fn current_version_of(meta: &dyn MetadataStore, path: &str, ws: &WorkspaceId) -> Option<u64> {
+    meta.current_items(ws)
+        .ok()?
+        .into_iter()
+        .find(|i| i.path == path)
+        .map(|i| i.version)
 }
